@@ -3,7 +3,7 @@
 use crate::protocol::{
     decode_hello, decode_profile, encode_hello, read_frame, tags, write_frame, BatchPlanRequest,
     BatchPlanResponse, PredictBatchRequest, PredictBatchResponse, RouteNetRequest,
-    RouteNetResponse, TripRequest,
+    RouteNetResponse, TripRequest, WaveTag,
 };
 use std::net::{TcpStream, ToSocketAddrs};
 use velopt_common::{Error, Result};
@@ -61,6 +61,34 @@ impl CloudClient {
     /// [`Error::Io`] on transport failures.
     pub fn request(&mut self, trip: &TripRequest) -> Result<OptimizedProfile> {
         write_frame(&mut self.stream, tags::REQ_TRIP, &trip.encode())?;
+        self.read_profile()
+    }
+
+    /// Uploads a trip as one member of a replan wave and waits for the
+    /// optimized profile. The plan is the one [`Self::request`] would get;
+    /// the tag lets a coalescing server flush its window as soon as all
+    /// `wave.size` members of `wave.id` have arrived, instead of waiting
+    /// out `coalesce_window`. Every member of a wave must send the same
+    /// tag, and a wave id must not be reused while its wave is open.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::request`].
+    pub fn request_in_wave(
+        &mut self,
+        trip: &TripRequest,
+        wave: WaveTag,
+    ) -> Result<OptimizedProfile> {
+        write_frame(
+            &mut self.stream,
+            tags::REQ_TRIP_WAVE,
+            &wave.encode_trip(trip),
+        )?;
+        self.read_profile()
+    }
+
+    /// Reads a `RESP_PROFILE` answer (or the server's refusal).
+    fn read_profile(&mut self) -> Result<OptimizedProfile> {
         let (tag, mut payload) = read_frame(&mut self.stream)?
             .ok_or_else(|| Error::protocol("server closed the connection"))?;
         match tag {
@@ -493,6 +521,66 @@ mod tests {
         let err = client.route(&bad).unwrap_err();
         assert!(err.to_string().contains("coincide"), "{err}");
         assert!(client.route(&request).is_ok());
+        server.shutdown();
+    }
+
+    /// A NaN departure and a NaN or infinite arrival rate are refused on
+    /// both serving paths, and nothing is cached: the same request sent
+    /// again is refused again rather than served from a plan cache.
+    #[test]
+    fn non_finite_trips_are_refused_and_never_cached() {
+        use crate::ServerConfig;
+        use velopt_common::units::VehiclesPerHour;
+        let mut nan_departure = TripRequest::us25_at(0.0);
+        nan_departure.departure = Seconds::new(f64::NAN);
+        let mut nan_rate = TripRequest::us25_at(0.0);
+        nan_rate.rates[0] = VehiclesPerHour::new(f64::NAN);
+        let mut infinite_rate = TripRequest::us25_at(0.0);
+        infinite_rate.rates[1] = VehiclesPerHour::new(f64::INFINITY);
+        let cases = [
+            (nan_departure, "departure"),
+            (nan_rate, "rate 0"),
+            (infinite_rate, "rate 1"),
+        ];
+        for coalesce_window in [
+            std::time::Duration::ZERO,
+            std::time::Duration::from_millis(5),
+        ] {
+            let server = CloudServer::spawn_with(ServerConfig {
+                compute_workers: 1,
+                coalesce_window,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let mut client = CloudClient::connect(server.addr()).unwrap();
+            for (trip, field) in &cases {
+                for _ in 0..2 {
+                    let err = client.request(trip).unwrap_err();
+                    assert!(err.to_string().contains(field), "{err}");
+                }
+            }
+            assert_eq!(server.stats().served(), 0);
+            assert_eq!(server.stats().cache_hits(), 0);
+            assert_eq!(server.stats().error_responses(), 2 * cases.len() as u64);
+            assert!(client.request(&TripRequest::us25_at(0.0)).is_ok());
+            server.shutdown();
+        }
+    }
+
+    /// A NaN route departure is refused and leaves the route caches empty.
+    #[test]
+    fn nan_route_departure_is_refused_and_never_cached() {
+        let server = CloudServer::spawn(1).unwrap();
+        let mut client = CloudClient::connect(server.addr()).unwrap();
+        let request = demo_route_request(f64::NAN);
+        for _ in 0..2 {
+            let err = client.route(&request).unwrap_err();
+            assert!(err.to_string().contains("departure"), "{err}");
+        }
+        assert_eq!(server.stats().routes(), 0);
+        assert_eq!(server.stats().route_cache_hits(), 0);
+        assert_eq!(server.stats().route_search().oracle_calls, 0);
+        assert!(client.route(&demo_route_request(0.0)).is_ok());
         server.shutdown();
     }
 

@@ -17,11 +17,26 @@
 //!   cannot fill the window and starve the others
 //!   (`cloud.tenant.rejected`).
 //!
-//! A window flushes either when it reaches `batch_max` waiters — inline,
-//! on the worker that enqueued the last one, which makes the flush point
-//! (and therefore every coalesce counter) deterministic under a lockstep
-//! load — or when `coalesce_window` elapses, handled by a dedicated
-//! flusher thread parked on a condvar.
+//! A window flushes for one of three causes ([`FlushCause`]):
+//!
+//! * **count** — it reaches `batch_max` waiters. The flush runs inline, on
+//!   the worker that enqueued the last one, which makes the flush point
+//!   (and therefore every coalesce counter) deterministic under a lockstep
+//!   load;
+//! * **wave** — every waiter carries a `REQ_TRIP_WAVE` tag and every wave
+//!   the window holds has had all of its members submitted (parked, served
+//!   from the cache, or refused by admission). Nothing more can join those
+//!   waves, so waiting out the timer would only add latency; the flush
+//!   runs inline on the worker that counted the last member;
+//! * **deadline** — `coalesce_window` elapses, handled by a dedicated
+//!   flusher thread parked on a condvar. This is the only release for
+//!   untagged waiters below `batch_max`, and the fallback for a wave that
+//!   lost a member.
+//!
+//! A wave flush closes a window earlier than the timer would, but with the
+//! same requests inside, provided the wave arrives within one window: the
+//! grouping, and with it every coalesce and cache counter, is the timer's.
+//! A wave larger than `batch_max` still splits on count.
 //!
 //! Results are bit-identical to uncoalesced serving by construction:
 //! `optimize_batch` is pinned bit-identical to sequential solves, each
@@ -29,14 +44,14 @@
 //! the single-dispatch route uses, and waiters receive `Bytes` clones of
 //! that one encoding.
 
-use crate::protocol::TripRequest;
+use crate::protocol::{TripRequest, WaveTag};
 use crate::reactor::{FrameBuf, Job, ShardHandle, ShardMsg};
 use crate::server::{
     corridor_optimizer, error_frame, plan_frame, trip_constraints, CachedPlan, PlanCache,
     ServerStats,
 };
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -59,6 +74,29 @@ struct Group {
     waiters: Vec<Waiter>,
 }
 
+/// What released a coalescing window (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FlushCause {
+    /// The window reached `batch_max` waiters.
+    Count,
+    /// `coalesce_window` elapsed.
+    Deadline,
+    /// Every wave the window held is complete.
+    Wave,
+}
+
+/// Ceiling on the waves counted at once. A member of a wave past it is
+/// treated as untagged, so only the count or the deadline releases it.
+const MAX_TRACKED_WAVES: usize = 4096;
+
+/// Submissions counted so far for one incomplete wave.
+struct WaveCount {
+    seen: u32,
+    size: u32,
+    /// Sequence number of the window open at the latest submission.
+    window: u64,
+}
+
 /// The current collection window. Groups keep insertion order so the
 /// batch handed to the solver is reproducible under lockstep load.
 #[derive(Default)]
@@ -67,19 +105,61 @@ struct Window {
     index: HashMap<Vec<u8>, usize>,
     waiters: usize,
     deadline: Option<Instant>,
+    /// Waiters without a tracked wave: while any is parked, only the count
+    /// or the deadline releases the window.
+    untagged: usize,
+    /// Waves with a member parked here that still miss members.
+    open_waves: HashSet<u64>,
 }
 
 impl Window {
     fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
+
+    /// Whether nothing the window holds can still gain a wave-mate.
+    fn waves_complete(&self) -> bool {
+        !self.is_empty() && self.untagged == 0 && self.open_waves.is_empty()
+    }
 }
 
 #[derive(Default)]
 struct State {
     window: Window,
+    /// Sequence number of `window`, bumped each time a window is detached.
+    seq: u64,
     /// Waiters currently parked per tenant — the admission counter.
     tenant_pending: HashMap<u32, usize>,
+    /// Incomplete waves by id.
+    waves: HashMap<u64, WaveCount>,
+}
+
+impl State {
+    /// Counts one submission of `wave`; `parked` says whether it waits in
+    /// the current window. A completed wave leaves the table and stops
+    /// holding its window open.
+    fn count_wave(&mut self, wave: WaveTag, parked: bool) {
+        if self.waves.len() >= MAX_TRACKED_WAVES && !self.waves.contains_key(&wave.id) {
+            if parked {
+                self.window.untagged += 1;
+            }
+            return;
+        }
+        let seq = self.seq;
+        let count = self.waves.entry(wave.id).or_insert(WaveCount {
+            seen: 0,
+            size: wave.size,
+            window: seq,
+        });
+        count.seen += 1;
+        count.window = seq;
+        if count.seen >= count.size {
+            self.waves.remove(&wave.id);
+            self.window.open_waves.remove(&wave.id);
+        } else if parked {
+            self.window.open_waves.insert(wave.id);
+        }
+    }
 }
 
 /// The coalescing layer. Shared by the compute workers (which `submit`
@@ -128,9 +208,11 @@ impl Coalescer {
         }
     }
 
-    /// Routes one `REQ_TRIP` job: cache hits are answered immediately,
-    /// over-limit tenants are refused, everything else parks in the
-    /// window. Flushes inline when the window reaches `batch_max`.
+    /// Routes one `REQ_TRIP`/`REQ_TRIP_WAVE` job: cache hits are answered
+    /// immediately, over-limit tenants are refused, everything else parks
+    /// in the window. A wave member counts toward its wave on every one of
+    /// these paths. Flushes inline when the window reaches `batch_max`, or
+    /// when this submission completed the last wave it was waiting for.
     pub(crate) fn submit(&self, job: Job) {
         let key = job.payload.to_vec();
         let waiter = Waiter {
@@ -139,61 +221,100 @@ impl Coalescer {
             gen: job.gen,
             tenant: job.tenant,
         };
-        if let Some(hit) = self.cache.read().get(&key) {
-            let frame = hit.frame.clone();
+        let cached = self.cache.read().get(&key).map(|hit| hit.frame.clone());
+        if let Some(frame) = cached {
             self.stats.record_served(1);
             self.stats.record_plan_cache_hits(1);
             self.stats.record_tenant_served(waiter.tenant);
             self.respond(&waiter, FrameBuf::Shared(frame));
+            if let Some(wave) = job.wave {
+                let ready =
+                    Self::count_unparked(&mut self.state.lock().expect("coalescer lock"), wave);
+                if let Some(window) = ready {
+                    self.flush(window, FlushCause::Wave);
+                }
+            }
             return;
         }
-        let full = {
-            let mut state = self.state.lock().expect("coalescer lock");
-            if self.tenant_max_inflight > 0 {
-                let pending = state
-                    .tenant_pending
-                    .get(&waiter.tenant)
-                    .copied()
-                    .unwrap_or(0);
-                if pending >= self.tenant_max_inflight {
-                    drop(state);
-                    self.stats.record_tenant_rejected(waiter.tenant);
-                    let frame = error_frame(
-                        &self.stats,
-                        &self.shards[waiter.shard].pool,
-                        &format!("tenant {} over its admission limit", waiter.tenant),
-                    );
-                    self.respond(&waiter, frame);
-                    return;
+        let mut state = self.state.lock().expect("coalescer lock");
+        if self.tenant_max_inflight > 0 {
+            let pending = state
+                .tenant_pending
+                .get(&waiter.tenant)
+                .copied()
+                .unwrap_or(0);
+            if pending >= self.tenant_max_inflight {
+                let ready = job
+                    .wave
+                    .and_then(|wave| Self::count_unparked(&mut state, wave));
+                drop(state);
+                self.stats.record_tenant_rejected(waiter.tenant);
+                let frame = error_frame(
+                    &self.stats,
+                    &self.shards[waiter.shard].pool,
+                    &format!("tenant {} over its admission limit", waiter.tenant),
+                );
+                self.respond(&waiter, frame);
+                if let Some(window) = ready {
+                    self.flush(window, FlushCause::Wave);
                 }
+                return;
             }
-            *state.tenant_pending.entry(waiter.tenant).or_insert(0) += 1;
-            let window = &mut state.window;
-            match window.index.get(&key) {
-                Some(&i) => window.groups[i].waiters.push(waiter),
-                None => {
-                    window.index.insert(key.clone(), window.groups.len());
-                    window.groups.push(Group {
-                        key,
-                        payload: job.payload.clone(),
-                        waiters: vec![waiter],
-                    });
-                }
+        }
+        *state.tenant_pending.entry(waiter.tenant).or_insert(0) += 1;
+        let window = &mut state.window;
+        match window.index.get(&key) {
+            Some(&i) => window.groups[i].waiters.push(waiter),
+            None => {
+                window.index.insert(key.clone(), window.groups.len());
+                window.groups.push(Group {
+                    key,
+                    payload: job.payload.clone(),
+                    waiters: vec![waiter],
+                });
             }
-            window.waiters += 1;
-            if window.deadline.is_none() {
-                window.deadline = Some(Instant::now() + self.window);
-                self.flush_cv.notify_one();
-            }
-            (window.waiters >= self.batch_max).then(|| Self::take(&mut state))
+        }
+        window.waiters += 1;
+        if window.deadline.is_none() {
+            window.deadline = Some(Instant::now() + self.window);
+            self.flush_cv.notify_one();
+        }
+        match job.wave {
+            Some(wave) => state.count_wave(wave, true),
+            None => state.window.untagged += 1,
+        }
+        let ready = if state.window.waiters >= self.batch_max {
+            Some((Self::take(&mut state, FlushCause::Count), FlushCause::Count))
+        } else {
+            Self::wave_ready(&mut state).map(|window| (window, FlushCause::Wave))
         };
-        if let Some(window) = full {
-            self.flush(window);
+        drop(state);
+        if let Some((window, cause)) = ready {
+            self.flush(window, cause);
         }
     }
 
-    /// Detaches the current window and releases its admission counts.
-    fn take(state: &mut State) -> Window {
+    /// Counts a wave member that did not park (answered from the cache or
+    /// refused), detaching the window if that completed its last open wave.
+    fn count_unparked(state: &mut State, wave: WaveTag) -> Option<Window> {
+        state.count_wave(wave, false);
+        Self::wave_ready(state)
+    }
+
+    /// Detaches the current window if every wave it holds is complete.
+    fn wave_ready(state: &mut State) -> Option<Window> {
+        state
+            .window
+            .waves_complete()
+            .then(|| Self::take(state, FlushCause::Wave))
+    }
+
+    /// Detaches the current window, releases its admission counts, and
+    /// bounds the wave table. A deadline flush gives up on every wave still
+    /// counting (the timer has released whatever they parked); any other
+    /// flush drops the waves that saw no submission during the window it
+    /// closes, and keeps the ones a count flush split mid-arrival.
+    fn take(state: &mut State, cause: FlushCause) -> Window {
         let window = std::mem::take(&mut state.window);
         for group in &window.groups {
             for waiter in &group.waiters {
@@ -202,6 +323,11 @@ impl Coalescer {
                 }
             }
         }
+        let seq = state.seq;
+        state.seq += 1;
+        state
+            .waves
+            .retain(|_, wave| cause != FlushCause::Deadline && wave.window == seq);
         window
     }
 
@@ -221,9 +347,9 @@ impl Coalescer {
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
-                        let window = Self::take(&mut state);
+                        let window = Self::take(&mut state, FlushCause::Deadline);
                         drop(state);
-                        self.flush(window);
+                        self.flush(window, FlushCause::Deadline);
                         state = self.state.lock().expect("coalescer lock");
                     } else {
                         state = self
@@ -248,7 +374,7 @@ impl Coalescer {
     /// Solves a detached window — one `optimize_batch` over its distinct
     /// keys — and fans each group's single encoded frame out to all of
     /// its waiters.
-    fn flush(&self, window: Window) {
+    fn flush(&self, window: Window, cause: FlushCause) {
         if window.is_empty() {
             return;
         }
@@ -335,7 +461,7 @@ impl Coalescer {
             }
         }
         self.stats
-            .record_coalesce_flush(waiters_total, groups.len() as u64, flights);
+            .record_coalesce_flush(cause, waiters_total, groups.len() as u64, flights);
 
         for (group, outcome) in groups.iter().zip(&outcomes) {
             match outcome.as_ref().expect("every group resolved") {

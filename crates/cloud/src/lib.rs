@@ -68,6 +68,6 @@ mod server;
 pub use client::CloudClient;
 pub use protocol::{
     CloudResponse, PredictBatchRequest, PredictBatchResponse, PredictQuery, RouteNetRequest,
-    RouteNetResponse, TripRequest,
+    RouteNetResponse, TripRequest, WaveTag,
 };
-pub use server::{CloudServer, ServerConfig, ServerStats};
+pub use server::{CloudServer, FlushCauses, ServerConfig, ServerStats};

@@ -57,6 +57,55 @@ pub mod tags {
     /// Cloud → vehicle: the routed plan — the edge sequence plus the
     /// stitched velocity profile along it.
     pub const RESP_ROUTE: u8 = 15;
+    /// Vehicle → cloud: optimize this trip as one member of a replan
+    /// wave. The payload is a [`WaveTag`](super::WaveTag) (wave id `u64`,
+    /// wave size `u32`) followed by the unchanged `REQ_TRIP` payload, which
+    /// stays the plan-cache and coalesce key. Answered with `RESP_PROFILE`
+    /// exactly like `REQ_TRIP`; the tag only lets the coalescer flush a
+    /// window once every member of the wave has arrived.
+    pub const REQ_TRIP_WAVE: u8 = 16;
+}
+
+/// The wave a `REQ_TRIP_WAVE` request belongs to: a client-chosen id shared
+/// by every request of one burst, and how many requests the burst holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaveTag {
+    /// Identifies the wave; unique per client burst.
+    pub id: u64,
+    /// Requests in the wave, including this one (at least 1).
+    pub size: u32,
+}
+
+impl WaveTag {
+    /// Bytes the tag occupies at the head of a `REQ_TRIP_WAVE` payload.
+    pub const ENCODED_LEN: usize = 12;
+
+    /// Encodes a `REQ_TRIP_WAVE` payload: this tag, then `trip`'s
+    /// `REQ_TRIP` payload.
+    pub fn encode_trip(&self, trip: &TripRequest) -> Bytes {
+        let trip = trip.encode();
+        let mut buf = BytesMut::with_capacity(Self::ENCODED_LEN + trip.len());
+        buf.put_u64(self.id);
+        buf.put_u32(self.size);
+        buf.extend_from_slice(&trip);
+        buf.freeze()
+    }
+
+    /// Splits the tag off the head of a `REQ_TRIP_WAVE` payload, leaving
+    /// the `REQ_TRIP` payload (the cache key) in `buf`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] when the payload is shorter than the tag
+    /// or the wave size is zero.
+    pub fn split(buf: &mut Bytes) -> Result<Self> {
+        let id = take_u64(buf)?;
+        let size = take_u32(buf)?;
+        if size == 0 {
+            return Err(Error::protocol("wave size must be at least 1"));
+        }
+        Ok(Self { id, size })
+    }
 }
 
 /// Encodes a `REQ_HELLO`/`RESP_HELLO` payload (a 4-byte big-endian tenant
@@ -118,8 +167,9 @@ impl TripRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidInput`] on a rate/light arity mismatch or
-    /// invalid queue parameters.
+    /// Returns [`Error::InvalidInput`] on a rate/light arity mismatch,
+    /// invalid queue parameters, or a departure or arrival rate that is
+    /// negative or not finite (NaN included).
     pub fn validated(&self) -> Result<()> {
         if self.rates.len() != self.road.traffic_lights().len() {
             return Err(Error::invalid_input(format!(
@@ -129,8 +179,19 @@ impl TripRequest {
             )));
         }
         self.queue.validated()?;
-        if self.departure.value() < 0.0 {
-            return Err(Error::invalid_input("departure must be non-negative"));
+        let departure = self.departure.value();
+        if !(departure.is_finite() && departure >= 0.0) {
+            return Err(Error::invalid_input(format!(
+                "departure must be finite and non-negative, got {departure}"
+            )));
+        }
+        for (i, rate) in self.rates.iter().enumerate() {
+            let rate = rate.value();
+            if !(rate.is_finite() && rate >= 0.0) {
+                return Err(Error::invalid_input(format!(
+                    "rate {i} must be finite and non-negative, got {rate}"
+                )));
+            }
         }
         Ok(())
     }
@@ -613,7 +674,7 @@ impl RouteNetRequest {
     ///
     /// Returns [`Error::InvalidInput`] when counts exceed the protocol
     /// ceilings, an edge endpoint or query junction is out of range,
-    /// `origin == dest`, or the departure is negative.
+    /// `origin == dest`, or the departure is negative or not finite.
     pub fn validated(&self) -> Result<()> {
         if self.nodes < 2 || self.nodes as usize > MAX_ROUTE_NODES {
             return Err(Error::invalid_input(format!(
@@ -641,8 +702,11 @@ impl RouteNetRequest {
         if self.origin == self.dest {
             return Err(Error::invalid_input("origin and destination coincide"));
         }
-        if self.depart.value() < 0.0 {
-            return Err(Error::invalid_input("departure must be non-negative"));
+        let depart = self.depart.value();
+        if !(depart.is_finite() && depart >= 0.0) {
+            return Err(Error::invalid_input(format!(
+                "departure must be finite and non-negative, got {depart}"
+            )));
         }
         Ok(())
     }

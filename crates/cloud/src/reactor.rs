@@ -27,7 +27,7 @@
 //! a response for a connection that died mid-solve is discarded instead of
 //! being delivered to the slot's next tenant.
 
-use crate::protocol::{decode_hello, encode_frame_into, tags};
+use crate::protocol::{decode_hello, encode_frame_into, tags, WaveTag};
 use crate::server::ServerStats;
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
@@ -129,6 +129,9 @@ pub(crate) struct Job {
     /// so admission/fairness accounting survives the hop to the pool.
     pub tenant: u32,
     pub tag: u8,
+    /// The wave a `REQ_TRIP_WAVE` frame declared, already split off
+    /// `payload`, which then holds the plain `REQ_TRIP` payload.
+    pub wave: Option<WaveTag>,
     pub payload: Bytes,
 }
 
@@ -409,23 +412,25 @@ impl Shard {
     /// tenant on the connection and queues the echo. Never touching the
     /// compute pool keeps strict FIFO with the planning frames around it.
     fn handle_hello(&self, conn: &mut Conn, payload: &Bytes) {
-        let frame = match decode_hello(payload) {
+        match decode_hello(payload) {
             Ok(tenant) => {
                 conn.tenant = tenant;
                 let mut buf = self.pool.acquire();
                 encode_frame_into(&mut buf, tags::RESP_HELLO, |b| b.put_u32(tenant));
-                FrameBuf::Pooled(buf)
+                conn.outbox.push_back((FrameBuf::Pooled(buf), 0));
             }
-            Err(e) => {
-                self.stats.record_error_response();
-                let mut buf = self.pool.acquire();
-                encode_frame_into(&mut buf, tags::RESP_ERROR, |b| {
-                    b.extend_from_slice(e.to_string().as_bytes())
-                });
-                FrameBuf::Pooled(buf)
-            }
-        };
-        conn.outbox.push_back((frame, 0));
+            Err(e) => self.answer_error(conn, &e.to_string()),
+        }
+    }
+
+    /// Queues a `RESP_ERROR` for a frame refused on the shard thread.
+    fn answer_error(&self, conn: &mut Conn, message: &str) {
+        self.stats.record_error_response();
+        let mut buf = self.pool.acquire();
+        encode_frame_into(&mut buf, tags::RESP_ERROR, |b| {
+            b.extend_from_slice(message.as_bytes())
+        });
+        conn.outbox.push_back((FrameBuf::Pooled(buf), 0));
     }
 
     /// Dispatch the next pending frame (if allowed), flush the outbox, then
@@ -437,32 +442,41 @@ impl Shard {
             let Some(conn) = slab.get_mut(idx) else {
                 return;
             };
-            // Session frames first: HELLOs at the queue head are answered
-            // inline (they are cheap and must not occupy the connection's
-            // single compute slot).
-            while !conn.in_flight && conn.outbox.len() < MAX_OUTBOX_FRAMES {
-                match conn.pending.front() {
-                    Some((tags::REQ_HELLO, _)) => {
-                        let (_, payload) = conn.pending.pop_front().expect("front exists");
-                        self.handle_hello(conn, &payload);
-                    }
-                    _ => break,
+            // Session frames are answered inline (they are cheap and must
+            // not occupy the connection's single compute slot): HELLOs,
+            // and wave frames whose tag is malformed. A well-formed wave
+            // frame leaves its tag on the job and its trip in the payload.
+            loop {
+                if conn.in_flight || conn.outbox.len() >= MAX_OUTBOX_FRAMES {
+                    break None;
                 }
-            }
-            if !conn.in_flight && conn.outbox.len() < MAX_OUTBOX_FRAMES {
-                conn.pending.pop_front().map(|(tag, payload)| {
-                    conn.in_flight = true;
-                    Job {
-                        shard: self.id,
-                        conn: idx,
-                        gen: conn.gen,
-                        tenant: conn.tenant,
-                        tag,
-                        payload,
+                let Some((tag, mut payload)) = conn.pending.pop_front() else {
+                    break None;
+                };
+                let wave = match tag {
+                    tags::REQ_HELLO => {
+                        self.handle_hello(conn, &payload);
+                        continue;
                     }
-                })
-            } else {
-                None
+                    tags::REQ_TRIP_WAVE => match WaveTag::split(&mut payload) {
+                        Ok(wave) => Some(wave),
+                        Err(e) => {
+                            self.answer_error(conn, &e.to_string());
+                            continue;
+                        }
+                    },
+                    _ => None,
+                };
+                conn.in_flight = true;
+                break Some(Job {
+                    shard: self.id,
+                    conn: idx,
+                    gen: conn.gen,
+                    tenant: conn.tenant,
+                    tag,
+                    wave,
+                    payload,
+                });
             }
         };
         if let Some(job) = job {

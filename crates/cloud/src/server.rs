@@ -6,6 +6,7 @@
 //! scales with file descriptors, not threads: thousands of idle connections
 //! cost nothing, and `compute_workers` bounds CPU-bound work only.
 
+use crate::coalesce::FlushCause;
 use crate::protocol::{
     encode_frame_into, encode_profile, tags, BatchPlanRequest, BatchPlanResponse,
     PredictBatchRequest, PredictBatchResponse, RouteNetRequest, RouteNetResponse, TripRequest,
@@ -36,7 +37,7 @@ use velopt_traffic::{
 /// split across the protocol. Returned by [`ServerStats::frame_counts`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameCounts {
-    /// `REQ_TRIP` frames received.
+    /// `REQ_TRIP` and `REQ_TRIP_WAVE` frames received.
     pub trips: u64,
     /// `REQ_BATCH` frames received.
     pub batches: u64,
@@ -52,6 +53,19 @@ pub struct FrameCounts {
     pub hello: u64,
     /// Frames carrying an unknown tag.
     pub unknown: u64,
+}
+
+/// Coalescing-window flushes split by what released the window. Returned
+/// by [`ServerStats::flush_causes`]; the three add up to
+/// [`ServerStats::batch_flushes`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlushCauses {
+    /// The window reached `batch_max` waiters.
+    pub count: u64,
+    /// `coalesce_window` elapsed.
+    pub deadline: u64,
+    /// Every wave the window held had all of its members submitted.
+    pub wave: u64,
 }
 
 /// Serving counters, exposed over the wire via `REQ_STATS`.
@@ -94,7 +108,9 @@ pub struct ServerStats {
     plan_encode_skipped: AtomicU64,
     coalesce_hits: AtomicU64,
     coalesce_flights: AtomicU64,
-    batch_flushes: AtomicU64,
+    flushes_count: AtomicU64,
+    flushes_deadline: AtomicU64,
+    flushes_wave: AtomicU64,
     /// Per-tenant `(served, rejected)` buckets, keyed by the tenant id the
     /// connection declared via `REQ_HELLO` (0 = anonymous). A plain mutex:
     /// touched once per coalesced response, never on the solver hot path.
@@ -222,9 +238,21 @@ impl ServerStats {
         self.coalesce_flights.load(Ordering::Relaxed)
     }
 
-    /// Coalescing windows flushed to the batch solver (by size or timeout).
+    /// Coalescing windows flushed to the batch solver (by size, timeout or
+    /// a completed wave).
     pub fn batch_flushes(&self) -> u64 {
-        self.batch_flushes.load(Ordering::Relaxed)
+        let causes = self.flush_causes();
+        causes.count + causes.deadline + causes.wave
+    }
+
+    /// Those flushes split by cause: `batch_max` reached, the deadline, or
+    /// a completed wave.
+    pub fn flush_causes(&self) -> FlushCauses {
+        FlushCauses {
+            count: self.flushes_count.load(Ordering::Relaxed),
+            deadline: self.flushes_deadline.load(Ordering::Relaxed),
+            wave: self.flushes_wave.load(Ordering::Relaxed),
+        }
     }
 
     /// Plans served to `tenant` through the coalescing path (cache hits
@@ -287,6 +315,10 @@ impl ServerStats {
             tags::REQ_TRIP => {
                 self.frames_trip.fetch_add(1, Ordering::Relaxed);
                 telemetry::add("cloud.req.trip", 1);
+            }
+            tags::REQ_TRIP_WAVE => {
+                self.frames_trip.fetch_add(1, Ordering::Relaxed);
+                telemetry::add("cloud.req.trip_wave", 1);
             }
             tags::REQ_BATCH => {
                 // `batches` itself is counted in `handle_batch` (which unit
@@ -415,17 +447,30 @@ impl ServerStats {
         telemetry::add("cloud.plan.encode_skipped", n);
     }
 
-    /// One coalescing window flushed: `waiters` requests collapsed onto
-    /// `groups` distinct keys, of which `flights` needed a fresh solve
-    /// (the rest were answered by a late cache hit at flush time).
-    pub(crate) fn record_coalesce_flush(&self, waiters: u64, groups: u64, flights: u64) {
+    /// One coalescing window flushed for `cause`: `waiters` requests
+    /// collapsed onto `groups` distinct keys, of which `flights` needed a
+    /// fresh solve (the rest were answered by a late cache hit at flush
+    /// time).
+    pub(crate) fn record_coalesce_flush(
+        &self,
+        cause: FlushCause,
+        waiters: u64,
+        groups: u64,
+        flights: u64,
+    ) {
         self.coalesce_hits
             .fetch_add(waiters - groups, Ordering::Relaxed);
         self.coalesce_flights.fetch_add(flights, Ordering::Relaxed);
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
+        let (counter, name) = match cause {
+            FlushCause::Count => (&self.flushes_count, "cloud.batch.flushes.count"),
+            FlushCause::Deadline => (&self.flushes_deadline, "cloud.batch.flushes.deadline"),
+            FlushCause::Wave => (&self.flushes_wave, "cloud.batch.flushes.wave"),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         telemetry::add("cloud.coalesce.hits", waiters - groups);
         telemetry::add("cloud.coalesce.flights", flights);
         telemetry::add("cloud.batch.flushes", 1);
+        telemetry::add(name, 1);
         telemetry::observe("cloud.batch.size", flights as f64);
     }
 
@@ -822,7 +867,7 @@ fn run_worker(
     coalescer: Option<Arc<crate::coalesce::Coalescer>>,
 ) {
     while let Ok(job) = jobs.recv() {
-        if job.tag == tags::REQ_TRIP {
+        if matches!(job.tag, tags::REQ_TRIP | tags::REQ_TRIP_WAVE) {
             // With coalescing enabled, trips route through the window:
             // the coalescer answers cache hits immediately and fans a
             // single batch solve out to every waiter otherwise.
@@ -871,7 +916,9 @@ fn respond(
     pool: &BufferPool,
 ) -> FrameBuf {
     match tag {
-        tags::REQ_TRIP => {
+        // The reactor already split a wave frame's tag off its payload;
+        // without coalescing the tag has nothing to say.
+        tags::REQ_TRIP | tags::REQ_TRIP_WAVE => {
             let key = payload.to_vec();
             match handle_trip(&mut payload, &key, stats, cache) {
                 Ok(plan) => FrameBuf::Shared(plan.frame),

@@ -1,8 +1,8 @@
 //! Co-simulation serving tests: the request-coalescing layer under the
 //! correlated load the fleet driver produces — single-flight dedupe of a
-//! replan storm, batch flushes on count and on timeout, per-tenant
-//! admission fairness, tenant stats attribution, and bit-identity of
-//! coalesced plans against uncoalesced serving.
+//! replan storm, batch flushes on count, on timeout and on a completed
+//! replan wave, per-tenant admission fairness, tenant stats attribution,
+//! and bit-identity of coalesced plans against uncoalesced serving.
 //!
 //! This file is the `cargo test -p velopt-cloud --test cosim` CI gate.
 
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use velopt_cloud::protocol::{
     decode_hello, decode_profile, encode_hello, read_frame, tags, write_frame, TripRequest,
 };
-use velopt_cloud::{CloudClient, CloudServer, ServerConfig};
+use velopt_cloud::{CloudClient, CloudServer, FlushCauses, ServerConfig, WaveTag};
 
 fn connect(addr: SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).unwrap();
@@ -443,5 +443,320 @@ fn cloud_client_round_trips_through_the_coalescer() {
     assert_eq!(stats.cache_hits(), 1);
     assert_eq!(stats.tenant_served(4), 2);
     assert_eq!(stats.coalesce_flights(), 1);
+    server.shutdown();
+}
+
+/// What one storm saw.
+struct Storm {
+    /// Response frames, each with its trip index.
+    frames: Vec<(usize, Vec<u8>)>,
+    wall: Duration,
+    /// `(coalesce hits, flights, flushes, cache hits)`.
+    counters: (u64, u64, u64, u64),
+    causes: FlushCauses,
+}
+
+/// Runs a six-request storm over three distinct trips (two waiters each)
+/// against a fresh server that coalesces for `window`, every request on
+/// its own connection; with `wave` set, each is sent as `REQ_TRIP_WAVE`.
+fn run_storm(window: Duration, wave: Option<WaveTag>) -> Storm {
+    const TRIPS: usize = 3;
+    const WAITERS: usize = 2 * TRIPS;
+    let server = CloudServer::spawn_with(ServerConfig {
+        compute_workers: 2,
+        coalesce_window: window,
+        batch_max: 64,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let barrier = Arc::new(Barrier::new(WAITERS));
+    let start = Instant::now();
+    let frames: Vec<(usize, Vec<u8>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..WAITERS)
+            .map(|i| {
+                let barrier = Arc::clone(&barrier);
+                scope.spawn(move || {
+                    let trip = TripRequest::us25_at((i % TRIPS) as f64 * 45.0);
+                    let mut stream = connect(addr);
+                    barrier.wait();
+                    let (tag, payload) = match wave {
+                        Some(wave) => {
+                            round_trip(&mut stream, tags::REQ_TRIP_WAVE, &wave.encode_trip(&trip))
+                        }
+                        None => round_trip(&mut stream, tags::REQ_TRIP, &trip.encode()),
+                    };
+                    assert_eq!(tag, tags::RESP_PROFILE);
+                    (i % TRIPS, payload)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let wall = start.elapsed();
+    let stats = server.stats();
+    let storm = Storm {
+        frames,
+        wall,
+        counters: (
+            stats.coalesce_hits(),
+            stats.coalesce_flights(),
+            stats.batch_flushes(),
+            stats.cache_hits(),
+        ),
+        causes: stats.flush_causes(),
+    };
+    server.shutdown();
+    storm
+}
+
+/// The plan a `RESP_PROFILE` frame carries, as bit patterns: every
+/// station, speed and time sample, the energy, the trip time and the
+/// window violations. The frame's solver metrics are left out; their
+/// timings, memo and arena counters depend on how a batch was spread over
+/// the workers.
+fn plan_bits(frame: &[u8]) -> Vec<u64> {
+    let mut bytes = bytes::Bytes::from(frame.to_vec());
+    let profile = decode_profile(&mut bytes).unwrap();
+    assert!(bytes.is_empty());
+    let mut bits = Vec::new();
+    for i in 0..profile.stations.len() {
+        bits.push(profile.stations[i].value().to_bits());
+        bits.push(profile.speeds[i].value().to_bits());
+        bits.push(profile.times[i].value().to_bits());
+    }
+    bits.push(profile.total_energy.value().to_bits());
+    bits.push(profile.trip_time.value().to_bits());
+    bits.push(profile.window_violations as u64);
+    bits
+}
+
+/// A storm sent as one wave flushes the moment its last member arrives,
+/// long before a 5 s window would close, and the window it closes holds
+/// exactly what the timer's would: the same coalesce hits, flights and
+/// flushes, byte-identical frames for the waiters of one key, and plans
+/// bit-identical to the untagged storm's, whose only release is the
+/// deadline.
+#[test]
+fn tagged_storm_flushes_on_completion_like_the_timer() {
+    let window = Duration::from_secs(5);
+    let untagged = run_storm(window, None);
+    assert!(untagged.wall >= window, "{:?}", untagged.wall);
+    assert_eq!(
+        untagged.causes,
+        FlushCauses {
+            deadline: 1,
+            ..FlushCauses::default()
+        }
+    );
+
+    let wave = WaveTag {
+        id: 0x5EED,
+        size: 6,
+    };
+    let tagged = run_storm(window, Some(wave));
+    assert!(
+        tagged.wall < window,
+        "a complete wave must not wait out the window: {:?}",
+        tagged.wall
+    );
+    assert_eq!(
+        tagged.causes,
+        FlushCauses {
+            wave: 1,
+            ..FlushCauses::default()
+        }
+    );
+    assert_eq!(tagged.counters, untagged.counters);
+    assert_eq!(tagged.counters, (3, 3, 1, 0));
+
+    let by_trip = |storm: &Storm, trip: usize| -> Vec<Vec<u8>> {
+        storm
+            .frames
+            .iter()
+            .filter(|(t, _)| *t == trip)
+            .map(|(_, f)| f.clone())
+            .collect()
+    };
+    for trip in 0..3 {
+        let tagged = by_trip(&tagged, trip);
+        let untagged = by_trip(&untagged, trip);
+        assert_eq!(tagged.len(), 2);
+        assert_eq!(tagged[0], tagged[1], "waiters of one key share one frame");
+        assert_eq!(untagged[0], untagged[1]);
+        assert_eq!(plan_bits(&tagged[0]), plan_bits(&untagged[0]));
+    }
+}
+
+/// A wave that never completes is released by the deadline, and the
+/// deadline flush forgets the wave: a straggler arriving afterwards under
+/// the same tag starts a new count, so it waits out its own window
+/// instead of completing a wave that is gone.
+#[test]
+fn wave_missing_a_member_falls_back_to_the_deadline() {
+    let window = Duration::from_millis(300);
+    let server = CloudServer::spawn_with(ServerConfig {
+        compute_workers: 2,
+        coalesce_window: window,
+        batch_max: 64,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let wave = WaveTag { id: 11, size: 3 };
+
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for i in 0..2 {
+            scope.spawn(move || {
+                let trip = TripRequest::us25_at(i as f64 * 30.0);
+                let mut stream = connect(addr);
+                let (tag, _) =
+                    round_trip(&mut stream, tags::REQ_TRIP_WAVE, &wave.encode_trip(&trip));
+                assert_eq!(tag, tags::RESP_PROFILE);
+            });
+        }
+    });
+    assert!(start.elapsed() >= window, "{:?}", start.elapsed());
+    assert_eq!(
+        server.stats().flush_causes(),
+        FlushCauses {
+            deadline: 1,
+            ..FlushCauses::default()
+        }
+    );
+
+    let mut straggler = connect(addr);
+    let start = Instant::now();
+    let (tag, _) = round_trip(
+        &mut straggler,
+        tags::REQ_TRIP_WAVE,
+        &wave.encode_trip(&TripRequest::us25_at(60.0)),
+    );
+    assert_eq!(tag, tags::RESP_PROFILE);
+    assert!(start.elapsed() >= window, "{:?}", start.elapsed());
+    let stats = server.stats();
+    assert_eq!(stats.flush_causes().deadline, 2);
+    assert_eq!(stats.flush_causes().wave, 0);
+    assert_eq!(stats.coalesce_flights(), 3);
+    server.shutdown();
+}
+
+/// Members that never park still count toward their wave: one answered
+/// from the plan cache and one refused at its tenant's admission limit
+/// complete a three-member wave whose only parked member is then flushed
+/// at once, nowhere near the 60 s window.
+#[test]
+fn cache_hits_and_refusals_complete_a_wave() {
+    let window = Duration::from_secs(60);
+    let server = CloudServer::spawn_with(ServerConfig {
+        compute_workers: 2,
+        coalesce_window: window,
+        batch_max: 64,
+        tenant_max_inflight: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let cached = TripRequest::us25_at(0.0);
+
+    // A wave of one completes on arrival: it primes the cache at once.
+    let mut primer = connect_as(addr, 5);
+    let (tag, _) = round_trip(
+        &mut primer,
+        tags::REQ_TRIP_WAVE,
+        &WaveTag { id: 1, size: 1 }.encode_trip(&cached),
+    );
+    assert_eq!(tag, tags::RESP_PROFILE);
+
+    let wave = WaveTag { id: 2, size: 3 };
+    let start = Instant::now();
+    let mut parked = connect_as(addr, 1);
+    send(
+        &mut parked,
+        tags::REQ_TRIP_WAVE,
+        &wave.encode_trip(&TripRequest::us25_at(30.0)),
+    );
+    std::thread::sleep(Duration::from_millis(100));
+    let mut hit = connect_as(addr, 2);
+    let (tag, _) = round_trip(&mut hit, tags::REQ_TRIP_WAVE, &wave.encode_trip(&cached));
+    assert_eq!(tag, tags::RESP_PROFILE);
+    let mut refused = connect_as(addr, 1);
+    let (tag, payload) = round_trip(
+        &mut refused,
+        tags::REQ_TRIP_WAVE,
+        &wave.encode_trip(&TripRequest::us25_at(60.0)),
+    );
+    assert_eq!(tag, tags::RESP_ERROR);
+    assert!(
+        String::from_utf8_lossy(&payload).contains("admission limit"),
+        "{}",
+        String::from_utf8_lossy(&payload)
+    );
+    let (tag, _) = recv(&mut parked);
+    assert_eq!(tag, tags::RESP_PROFILE);
+    assert!(start.elapsed() < window / 2, "{:?}", start.elapsed());
+
+    let stats = server.stats();
+    assert_eq!(
+        stats.flush_causes(),
+        FlushCauses {
+            wave: 2,
+            ..FlushCauses::default()
+        }
+    );
+    assert_eq!(stats.cache_hits(), 1);
+    assert_eq!(stats.coalesce_flights(), 2);
+    assert_eq!(stats.tenant_rejected(1), 1);
+    assert_eq!(stats.tenant_served(1), 1);
+    assert_eq!(stats.tenant_served(2), 1);
+    server.shutdown();
+}
+
+/// With coalescing off, a wave frame is a plain trip: it is answered
+/// with the same frame as `REQ_TRIP` (the second request below is a
+/// cache hit on the first one's key), counts as a trip frame, and never
+/// touches a window. A malformed wave tag is refused without closing the
+/// connection.
+#[test]
+fn wave_frame_without_coalescing_is_a_plain_trip() {
+    let server = CloudServer::spawn(1).unwrap();
+    let mut stream = connect(server.addr());
+    let trip = TripRequest::us25_at(15.0);
+
+    let (tag, waved) = round_trip(
+        &mut stream,
+        tags::REQ_TRIP_WAVE,
+        &WaveTag { id: 9, size: 4 }.encode_trip(&trip),
+    );
+    assert_eq!(tag, tags::RESP_PROFILE);
+    let (tag, plain) = round_trip(&mut stream, tags::REQ_TRIP, &trip.encode());
+    assert_eq!(tag, tags::RESP_PROFILE);
+    assert_eq!(waved, plain);
+
+    // Shorter than a tag, and a zero-member wave.
+    for bad in [
+        vec![0u8; 5],
+        WaveTag { id: 3, size: 0 }.encode_trip(&trip).to_vec(),
+    ] {
+        let (tag, payload) = round_trip(&mut stream, tags::REQ_TRIP_WAVE, &bad);
+        assert_eq!(
+            tag,
+            tags::RESP_ERROR,
+            "{}",
+            String::from_utf8_lossy(&payload)
+        );
+    }
+    let (tag, again) = round_trip(&mut stream, tags::REQ_TRIP, &trip.encode());
+    assert_eq!(tag, tags::RESP_PROFILE);
+    assert_eq!(again, plain);
+
+    let stats = server.stats();
+    assert_eq!(stats.served(), 3);
+    assert_eq!(stats.cache_hits(), 2);
+    assert_eq!(stats.error_responses(), 2);
+    assert_eq!(stats.frame_counts().trips, 5);
+    assert_eq!(stats.frame_counts().unknown, 0);
+    assert_eq!(stats.batch_flushes(), 0);
     server.shutdown();
 }

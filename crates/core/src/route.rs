@@ -481,8 +481,8 @@ impl Router {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] on out-of-range junctions, equal
-    /// origin and destination, a negative departure time, or a graph whose
-    /// edge lower bounds admit a negative-cost cycle, and
+    /// origin and destination, a negative or non-finite departure time, or
+    /// a graph whose edge lower bounds admit a negative-cost cycle, and
     /// [`Error::Infeasible`] when no feasible route exists (or the search
     /// exceeded [`RouteConfig::max_states`]).
     pub fn plan(&mut self, graph: &RoadGraph, query: RouteQuery) -> Result<RoutePlan> {
@@ -495,8 +495,11 @@ impl Router {
                 "origin equals destination; nothing to route",
             ));
         }
-        if query.depart.value() < 0.0 {
-            return Err(Error::invalid_input("departure time must be non-negative"));
+        let depart = query.depart.value();
+        if !(depart.is_finite() && depart >= 0.0) {
+            return Err(Error::invalid_input(
+                "departure time must be finite and non-negative",
+            ));
         }
         let mut metrics = RouteMetrics::default();
         let tw = self.optimizer.config().time_weight;
@@ -1261,16 +1264,18 @@ mod tests {
                 }
             )
             .is_err());
-        assert!(r
-            .plan(
-                &graph,
-                RouteQuery {
-                    origin: NodeId(0),
-                    dest: NodeId(3),
-                    depart: Seconds::new(-1.0),
-                }
-            )
-            .is_err());
+        for depart in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(r
+                .plan(
+                    &graph,
+                    RouteQuery {
+                        origin: NodeId(0),
+                        dest: NodeId(3),
+                        depart: Seconds::new(depart),
+                    }
+                )
+                .is_err());
+        }
     }
 
     #[test]

@@ -9,14 +9,19 @@
 //! that, each tick:
 //!
 //! 1. **reads** signal phases (`tl<c>:<i>`) and loop-detector counts
-//!    (`loop<c>:0`) over the TraCI protocol,
+//!    (`loop<c>:0`) over the TraCI protocol, and vehicle positions from a
+//!    TraCI variable subscription delivered with the step (one round trip
+//!    per vehicle when it first appears, not one per vehicle per tick),
 //! 2. **replans** every vehicle whose corridor's `T_q` windows shifted —
 //!    a phase flip restarts the queue clock, so all of that corridor's
 //!    vehicles re-request at once (the correlated storm the cloud's
 //!    coalescing layer exists for); each vehicle is its own
 //!    [`CloudClient`] connection, greeted with
 //!    the corridor index as its tenant id, and the wave is issued
-//!    concurrently so identical requests are in flight together,
+//!    concurrently so identical requests are in flight together. Every
+//!    request of a tick carries one wave tag (`REQ_TRIP_WAVE`), so a
+//!    coalescing cloud flushes as soon as the whole wave has arrived
+//!    instead of waiting out its window,
 //! 3. **feeds back** each returned profile as a TraCI speed command for
 //!    the vehicle's current position.
 //!
@@ -25,15 +30,19 @@
 //! counters — flips seen, replans issued, commands applied — are exactly
 //! pinnable under a lockstep harness.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use velopt_cloud::{CloudClient, TripRequest};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{SystemTime, UNIX_EPOCH};
+use velopt_cloud::{CloudClient, TripRequest, WaveTag};
+use velopt_common::rng::SplitMix64;
 use velopt_common::units::{Seconds, VehiclesPerHour};
 use velopt_common::Result;
 use velopt_core::dp::OptimizedProfile;
 use velopt_queue::QueueParams;
 use velopt_road::Road;
-use velopt_traci::TraciClient;
+use velopt_traci::protocol::ids::VAR_POSITION;
+use velopt_traci::{TraciClient, TraciValue};
 
 /// Tuning knobs for the [`FleetDriver`].
 #[derive(Debug, Clone)]
@@ -123,6 +132,26 @@ pub struct FleetDriver {
     corridors: Vec<Corridor>,
     pilots: HashMap<String, Pilot>,
     stats: FleetStats,
+    /// Base of this driver's wave ids (`nonce ^ tick`).
+    nonce: u64,
+    /// Vehicles with a live TraCI position subscription.
+    subscribed: HashSet<String>,
+    /// This tick's `(position, corridor)` per vehicle, as delivered with
+    /// the step (or read directly on a vehicle's first tick).
+    positions: HashMap<String, (f64, f64)>,
+}
+
+/// A wave-id base no other driver on the same cloud is likely to share:
+/// the time, the process id and a per-process driver count, mixed. Wave
+/// ids only steer when the cloud flushes, never what it answers.
+fn driver_nonce() -> u64 {
+    static DRIVERS: AtomicU64 = AtomicU64::new(0);
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let seed =
+        nanos ^ (u64::from(std::process::id()) << 32) ^ DRIVERS.fetch_add(1, Ordering::Relaxed);
+    SplitMix64::new(seed).next_u64()
 }
 
 impl FleetDriver {
@@ -158,6 +187,9 @@ impl FleetDriver {
             corridors,
             pilots: HashMap::new(),
             stats: FleetStats::default(),
+            nonce: driver_nonce(),
+            subscribed: HashSet::new(),
+            positions: HashMap::new(),
         })
     }
 
@@ -175,7 +207,13 @@ impl FleetDriver {
     /// plan refusals are *not* errors; they count in
     /// [`FleetStats::plan_failures`].
     pub fn step(&mut self) -> Result<()> {
-        self.traci.simulation_step(0.0)?;
+        let delivered = self.traci.simulation_step_collect(0.0)?;
+        self.positions.clear();
+        for result in delivered {
+            if let Some(&TraciValue::Position2D(x, y)) = result.value_of(VAR_POSITION) {
+                self.positions.insert(result.object, (x, y));
+            }
+        }
         self.stats.ticks += 1;
         let now = self.traci.simulation_time()?;
         self.observe(now)?;
@@ -227,13 +265,24 @@ impl FleetDriver {
     fn plan_wave(&mut self) -> Result<Vec<(String, usize)>> {
         let mut ids = self.traci.vehicle_ids()?;
         ids.sort();
-        // Vehicles that left the network take their connection with them.
-        let live: std::collections::HashSet<&String> = ids.iter().collect();
+        // Vehicles that left the network take their connection and their
+        // position subscription with them.
+        let live: HashSet<&String> = ids.iter().collect();
         self.pilots.retain(|id, _| live.contains(id));
+        let gone: Vec<String> = self
+            .subscribed
+            .iter()
+            .filter(|id| !live.contains(id))
+            .cloned()
+            .collect();
+        for id in gone {
+            self.traci.subscribe_vehicle(&id, &[], 0.0, f64::MAX)?;
+            self.subscribed.remove(&id);
+        }
 
         let mut wave = Vec::new();
         for id in ids {
-            let (_, y) = self.traci.vehicle_position(&id)?;
+            let (_, y) = self.position(&id)?;
             let corridor = y as usize;
             if corridor >= self.corridors.len() {
                 continue;
@@ -250,6 +299,21 @@ impl FleetDriver {
             }
         }
         Ok(wave)
+    }
+
+    /// `vehicle`'s `(position, corridor)` this tick: from the step's
+    /// subscription results, or, on the vehicle's first tick, read directly
+    /// and subscribed for the ticks after.
+    fn position(&mut self, vehicle: &str) -> Result<(f64, f64)> {
+        if let Some(&p) = self.positions.get(vehicle) {
+            return Ok(p);
+        }
+        let p = self.traci.vehicle_position(vehicle)?;
+        self.traci
+            .subscribe_vehicle(vehicle, &[VAR_POSITION], 0.0, f64::MAX)?;
+        self.subscribed.insert(vehicle.to_string());
+        self.positions.insert(vehicle.to_string(), p);
+        Ok(p)
     }
 
     /// The corridor's current plan request: shared by every vehicle of
@@ -272,7 +336,8 @@ impl FleetDriver {
 
     /// Issues the wave's plan requests concurrently (one thread per
     /// vehicle, each on its own connection — the storm the coalescer
-    /// sees) and feeds the profiles back as speed commands.
+    /// sees), all under one wave tag, and feeds the profiles back as speed
+    /// commands.
     fn replan(&mut self, wave: Vec<(String, usize)>, _now: f64) -> Result<()> {
         if wave.is_empty() {
             return Ok(());
@@ -281,7 +346,7 @@ impl FleetDriver {
         let requests: HashMap<usize, TripRequest> = wave
             .iter()
             .map(|(_, c)| *c)
-            .collect::<std::collections::HashSet<_>>()
+            .collect::<HashSet<_>>()
             .into_iter()
             .map(|c| (c, self.corridor_request(c)))
             .collect();
@@ -318,6 +383,10 @@ impl FleetDriver {
 
         self.stats.replans += flights.len() as u64;
         telemetry::add("cosim.replans", flights.len() as u64);
+        let tag = WaveTag {
+            id: self.nonce ^ self.stats.ticks,
+            size: flights.len() as u32,
+        };
         let results: Vec<(String, usize, Pilot, Result<OptimizedProfile>)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = flights
@@ -325,7 +394,7 @@ impl FleetDriver {
                     .map(|(id, corridor, mut pilot)| {
                         let request = &requests[&corridor];
                         scope.spawn(move || {
-                            let outcome = pilot.client.request(request);
+                            let outcome = pilot.client.request_in_wave(request, tag);
                             (id, corridor, pilot, outcome)
                         })
                     })
@@ -343,7 +412,7 @@ impl FleetDriver {
             match outcome {
                 Ok(profile) => {
                     self.stats.plans_ok += 1;
-                    let (position, _) = self.traci.vehicle_position(&id)?;
+                    let (position, _) = self.position(&id)?;
                     let speed = Self::speed_at(&profile, position).max(self.config.command_floor);
                     // The vehicle may have exited between listing and now;
                     // a failed command is not an error, just not counted.
@@ -468,13 +537,14 @@ mod tests {
                 cloud.stats().coalesce_hits(),
                 cloud.stats().coalesce_flights(),
             );
+            let causes = cloud.stats().flush_causes();
             driver.close().unwrap();
             cloud.shutdown();
             traci.join();
-            (stats, coalesced)
+            (stats, coalesced, causes)
         };
-        let (a, a_coalesce) = run();
-        let (b, b_coalesce) = run();
+        let (a, a_coalesce, a_causes) = run();
+        let (b, b_coalesce, b_causes) = run();
         assert_eq!(a, b, "fleet counters must be lockstep-deterministic");
         assert!(a.ticks == 40);
         assert!(a.flips > 0, "signals must have flipped within 40 s");
@@ -490,6 +560,11 @@ mod tests {
             "coalescer never flushed a flight: {a_coalesce:?}"
         );
         assert_eq!(a_coalesce, b_coalesce, "server counters must repeat");
+        // Every window closed on its completed wave (or on the count), never
+        // on the 40 ms timer.
+        assert_eq!(a_causes.deadline, 0, "{a_causes:?}");
+        assert!(a_causes.wave > 0, "{a_causes:?}");
+        assert_eq!(a_causes, b_causes, "flush causes must repeat");
     }
 
     /// A tenant ceiling refuses part of a storm without failing the

@@ -62,6 +62,11 @@ mod x86 {
         std::arch::is_x86_feature_detected!("avx2")
     }
 
+    /// Spills the two accumulator columns of a tile to an array.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (the caller is an AVX2 tile kernel).
     #[inline]
     unsafe fn store_tile(acc0: &[__m256d; MR], acc1: &[__m256d; MR]) -> [[f64; NR]; MR] {
         let mut out = [[0.0; NR]; MR];
